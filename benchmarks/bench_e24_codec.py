@@ -1,11 +1,11 @@
-"""E24 (new): block-codec data plane — throughput, block size, transport.
+"""E24 (new): block-codec data plane — round-trips, block size, transport.
 
-The batched data plane replaced per-object pickling with typed blocks
+The batched data plane replaced per-object pickling with framed blocks
 (:mod:`repro.engine.codec`) shipped, on the ``processes`` backend, either
 inline through the result pipe or zero-copy via shared-memory segments
 (:mod:`repro.engine.shm`).  E24 measures the three knobs of that design:
 
-* per-key-kind encode/decode throughput against a plain whole-dict
+* per-key-kind block encode/decode time against a plain whole-dict
   pickle round-trip of the same bucket (the old wire format), with every
   row round-trip-verified before it reports a number;
 * a block-size sweep over the spill path's granularity — small blocks
@@ -14,9 +14,9 @@ inline through the result pipe or zero-copy via shared-memory segments
   transport forced on vs off, outputs asserted identical (the transport
   rows double as a correctness proof of both paths).
 
-Expected shape: typed codecs selected for int/str/bytes keys with tuples
-on the pickle fallback; transport rows encode identical byte counts with
-``shm_segments`` nonzero only on the shm variant.  Wall-clock deltas
+Expected shape: every key kind round-trips; transport rows encode
+identical byte counts with ``shm_segments`` nonzero only on the shm
+variant.  Wall-clock deltas
 between shm and pipe are hardware-dependent (pipe wins on tiny payloads,
 shm on wide reduce fan-in) — the gate checks identity and engagement,
 not a speed ratio.
@@ -50,7 +50,7 @@ def test_e24_codec(benchmark):
         format_table(
             rows,
             title=(
-                f"E24: block codec throughput and transport "
+                f"E24: block codec round-trips and transport "
                 f"({ITEMS} items, best of {REPEAT}, "
                 f"{available_workers()} workers)"
             ),

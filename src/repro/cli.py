@@ -466,10 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--codec",
         action="store_true",
-        help="also run the block-codec bench (E24): encode/decode "
-        "throughput per key kind, a block-size sweep, and the processes "
-        "backend with the shared-memory transport on vs off (--check "
-        "gates round-trip identity and codec selection)",
+        help="also run the block-codec bench (E24): block vs whole-dict "
+        "pickle round-trips per key kind, a block-size sweep, and the "
+        "processes backend with the shared-memory transport on vs off "
+        "(--check gates round-trip identity and transport agreement)",
     )
 
     serve = commands.add_parser(
@@ -1578,7 +1578,7 @@ def _run_bench(args: argparse.Namespace) -> int:
             format_table(
                 codec_rows,
                 title=(
-                    "block codec: encode/decode throughput, block-size "
+                    "block codec: round-trips per key kind, block-size "
                     "sweep, shm vs pipe transport (round-trips verified)"
                 ),
             )
@@ -1675,9 +1675,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                 "identical outputs"
             )
         if args.codec:
-            notes.append(
-                "codec round-trips verified with typed codecs selected"
-            )
+            notes.append("codec round-trips and transports verified")
         if args.service_jobs is not None:
             notes.append("service outputs matched one-shot runs")
         if args.baseline and not baseline_notes:

@@ -40,7 +40,6 @@ from repro.engine.codec import (
     decode_block_groups,
     encode_groups,
     encode_items,
-    select_codec,
 )
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.crossval import (
@@ -74,7 +73,6 @@ __all__ = [
     "available_workers",
     "EngineMetrics",
     "PhaseTimings",
-    "select_codec",
     "encode_items",
     "encode_groups",
     "decode_block",

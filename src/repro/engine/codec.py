@@ -1,59 +1,34 @@
-"""Typed block codecs for the batched data plane.
+"""Framed block format for the batched data plane.
 
-The engine's shuffle and spill paths used to move ``(key, values)`` pairs
-as pickled Python structures — one pickle per item on the spill path, one
-pickled dict-of-lists per bucket on the shuffle path.  For the small keys
-the paper's workloads produce (reducer indices, join keys), per-object
-pickling dominates the run.  This module replaces that with **blocks**: a
-whole bucket (or spill-run slice) of grouped pairs encoded as one
-contiguous buffer with a typed key section and a single batch-pickled
-value section.
+The engine's shuffle and spill paths move grouped ``(key, values)`` items
+as **blocks**: a whole bucket (or spill-run slice) encoded as one
+contiguous buffer, so pickling is paid once per block instead of once per
+pair.
 
 Wire format (all integers little-endian)::
 
     offset  size  field
     0       1     magic (0xB5)
-    1       1     codec id: b"i" | b"s" | b"b" | b"p"
-    2       4     item count  (uint32)
-    6       4     key-section length in bytes  (uint32)
-    10      4     value-section length in bytes  (uint32)
-    14      ...   key section
-    ...     ...   value section
+    1       4     item count  (uint32)
+    5       4     key-section length in bytes  (uint32)
+    9       4     value-section length in bytes  (uint32)
+    13      ...   key section:   pickle.dumps(keys, protocol=5)
+    ...     ...   value section: pickle.dumps(value_lists, protocol=5)
 
-Key sections by codec id:
-
-* ``b"i"`` — ``item count`` int64s (``struct "<{n}q"``); chosen when every
-  key is exactly ``int`` (``bool`` is excluded — it must round-trip as
-  ``bool``) and fits in a signed 64-bit word.
-* ``b"s"`` — ``item count`` uint32 lengths followed by the concatenated
-  UTF-8 (``surrogatepass``) encodings; chosen when every key is exactly
-  ``str``.  ``surrogatepass`` makes the encoding a bijection on ``str``,
-  so lone surrogates round-trip too.
-* ``b"b"`` — same layout with raw bytes; chosen when every key is exactly
-  ``bytes``.
-* ``b"p"`` — one pickle of the key list; the universal fallback (tuples,
-  mixed types, big ints, subclasses).
-
-The value section is always one pickle of the list of per-key value
-lists — values are arbitrary user objects, but batching them into a
-single pickle amortizes the per-object framing that dominated the old
-path.
-
-Codec selection is a **probe, not a per-record branch**:
-:func:`select_codec` inspects a group dict's key types once (per map task
-/ per spill run) and every block of that phase is encoded with the
-selected codec.  Encoders still *verify* the probe per block — a later
-bucket may contain a key the probed bucket did not — and silently fall
-back to ``b"p"`` rather than mis-encode (e.g. ``struct`` would happily
-pack ``True`` as ``1``, which must not come back as ``int``).  Blocks are
-self-describing, so mixed-codec streams decode fine.
+Pickle preserves exact key types (``True`` never comes back as ``1``) and
+item order, which the shuffle relies on for byte-identical reduces.  Keys
+and values are pickled separately because one pickle of both pushes the
+objects repeated inside the values (e.g. a join's side tags) past the
+first 256 memo slots: every later reference then costs a 5-byte
+``LONG_BINGET`` instead of a 2-byte ``BINGET``, which made tuple-keyed
+skew-join blocks 14–21% larger.
 
 Decoding accepts ``bytes`` or any ``memoryview``-compatible buffer; the
-shared-memory transport hands in a view of the segment and the typed key
-decoders plus ``pickle.loads`` read it in place (the decoded *objects*
-are always fresh copies, so the segment can be unmapped immediately
-after).  Every decode failure — truncation, bad magic, length
-inconsistencies, undecodable key or value sections — raises
+shared-memory transport hands in a view of the segment and decodes it in
+place (the decoded objects are fresh copies, so the segment can be
+unmapped immediately after).  Every decode failure — truncation, bad
+magic, lengths that disagree with the header, a corrupt section, or one
+that does not hold ``count`` entries — raises
 :class:`~repro.exceptions.CodecError`, never a bare ``struct.error`` or
 ``EOFError``.
 """
@@ -62,162 +37,51 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.exceptions import CodecError
 
 #: First byte of every block; a cheap guard against decoding garbage.
-BLOCK_MAGIC = 0xB5
+_MAGIC = 0xB5
 
-#: Codec ids (the second byte of the block header).
-CODEC_INT = b"i"
-CODEC_STR = b"s"
-CODEC_BYTES = b"b"
-CODEC_PICKLE = b"p"
-
-_CODECS = frozenset((CODEC_INT, CODEC_STR, CODEC_BYTES, CODEC_PICKLE))
-
-#: magic, codec id, item count, key-section length, value-section length.
-_HEADER = struct.Struct("<BcIII")
-
-#: Signed 64-bit bounds for the int codec.
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+#: magic, item count, key-section length, value-section length.
+_HEADER = struct.Struct("<BIII")
 
 
-class _Fallback(Exception):
-    """Internal: the probed typed codec cannot encode this block's keys."""
+def encode_items(items: list[tuple[Hashable, list[Any]]]) -> bytes:
+    """Encode grouped ``(key, values)`` items as one framed block.
 
-
-def select_codec(keys: Iterable[Hashable]) -> bytes:
-    """Pick a block codec from a key probe (once per task, never per pair).
-
-    Returns the typed codec when every probed key is exactly ``int``,
-    ``str``, or ``bytes`` (subclasses — including ``bool`` — disqualify,
-    because a typed round-trip must preserve the exact type), and the
-    pickle fallback otherwise.  An empty probe gets the fallback: there
-    is nothing to type.
+    Item order is preserved exactly; the shuffle relies on that to keep
+    insertion-order reduces byte-identical.
     """
-    kinds = {type(key) for key in keys}
-    if kinds == {int}:
-        return CODEC_INT
-    if kinds == {str}:
-        return CODEC_STR
-    if kinds == {bytes}:
-        return CODEC_BYTES
-    return CODEC_PICKLE
-
-
-def _encode_keys(keys: list[Hashable], codec: bytes) -> bytes:
-    """Encode the key section, or raise :class:`_Fallback` when the probed
-    typed codec does not fit this block's actual keys."""
-    if codec == CODEC_INT:
-        for key in keys:
-            if type(key) is not int or not _INT64_MIN <= key <= _INT64_MAX:
-                raise _Fallback
-        return struct.pack(f"<{len(keys)}q", *keys)
-    if codec == CODEC_STR:
-        for key in keys:
-            if type(key) is not str:
-                raise _Fallback
-        encoded = [key.encode("utf-8", "surrogatepass") for key in keys]
-        lengths = struct.pack(f"<{len(encoded)}I", *map(len, encoded))
-        return lengths + b"".join(encoded)
-    if codec == CODEC_BYTES:
-        for key in keys:
-            if type(key) is not bytes:
-                raise _Fallback
-        lengths = struct.pack(f"<{len(keys)}I", *map(len, keys))
-        return lengths + b"".join(keys)
-    return pickle.dumps(keys, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def encode_items(
-    items: list[tuple[Hashable, list[Any]]], codec: bytes = CODEC_PICKLE
-) -> bytes:
-    """Encode grouped ``(key, values)`` items as one self-describing block.
-
-    *codec* is the phase's probed codec; when this particular block's keys
-    do not fit it (the probe saw a different bucket), the block silently
-    falls back to the pickle codec — blocks are self-describing, so the
-    decoder does not care.  Item order is preserved exactly; the shuffle
-    relies on that to keep insertion-order reduces byte-identical.
-    """
-    if codec not in _CODECS:
-        raise CodecError(f"unknown block codec {codec!r}")
-    keys = [key for key, _ in items]
     try:
-        key_blob = _encode_keys(keys, codec)
-    except _Fallback:
-        codec = CODEC_PICKLE
-        key_blob = pickle.dumps(keys, protocol=pickle.HIGHEST_PROTOCOL)
-    except (struct.error, OverflowError):
-        codec = CODEC_PICKLE
-        key_blob = pickle.dumps(keys, protocol=pickle.HIGHEST_PROTOCOL)
-    try:
+        key_blob = pickle.dumps([key for key, _ in items], protocol=5)
         value_blob = pickle.dumps(
-            [values for _, values in items],
-            protocol=pickle.HIGHEST_PROTOCOL,
+            [values for _, values in items], protocol=5
         )
     except Exception as exc:
-        raise CodecError(f"block values are not picklable: {exc}") from exc
-    header = _HEADER.pack(
-        BLOCK_MAGIC, codec, len(items), len(key_blob), len(value_blob)
-    )
+        raise CodecError(f"block items are not picklable: {exc}") from exc
+    header = _HEADER.pack(_MAGIC, len(items), len(key_blob), len(value_blob))
     return header + key_blob + value_blob
 
 
-def encode_groups(
-    groups: dict[Hashable, list[Any]], codec: bytes = CODEC_PICKLE
-) -> bytes:
+def encode_groups(groups: dict[Hashable, list[Any]]) -> bytes:
     """Encode one bucket dict as a block, preserving insertion order."""
-    return encode_items(list(groups.items()), codec)
+    return encode_items(list(groups.items()))
 
 
-def _decode_keys(view: memoryview, codec: bytes, count: int) -> list[Hashable]:
-    """Decode the key section (*view* covers exactly the key section)."""
-    if codec == CODEC_INT:
-        if len(view) != 8 * count:
-            raise CodecError(
-                f"int key section is {len(view)} bytes, expected {8 * count}"
-            )
-        return list(struct.unpack(f"<{count}q", view))
-    if codec in (CODEC_STR, CODEC_BYTES):
-        if len(view) < 4 * count:
-            raise CodecError(
-                f"key section too short for {count} length prefixes"
-            )
-        lengths = struct.unpack_from(f"<{count}I", view, 0)
-        if sum(lengths) != len(view) - 4 * count:
-            raise CodecError(
-                "key section length prefixes do not match section size"
-            )
-        keys: list[Hashable] = []
-        offset = 4 * count
-        if codec == CODEC_STR:
-            for length in lengths:
-                raw = bytes(view[offset : offset + length])
-                try:
-                    keys.append(raw.decode("utf-8", "surrogatepass"))
-                except UnicodeDecodeError as exc:
-                    raise CodecError(
-                        f"undecodable str key in block: {exc}"
-                    ) from exc
-                offset += length
-        else:
-            for length in lengths:
-                keys.append(bytes(view[offset : offset + length]))
-                offset += length
-        return keys
+def _load_section(view: memoryview, name: str, count: int) -> list[Any]:
+    """Unpickle one section, which must hold a list of *count* entries."""
     try:
-        keys = pickle.loads(view)
+        entries = pickle.loads(view)
     except Exception as exc:
-        raise CodecError(f"corrupt pickled key section: {exc}") from exc
-    if not isinstance(keys, list) or len(keys) != count:
+        raise CodecError(f"corrupt block {name} section: {exc}") from exc
+    if not isinstance(entries, list) or len(entries) != count:
         raise CodecError(
-            "pickled key section does not hold the declared key list"
+            f"block {name} section does not hold the declared {count} "
+            "entries"
         )
-    return keys
+    return entries
 
 
 def decode_block(buf: Any) -> list[tuple[Hashable, list[Any]]]:
@@ -235,28 +99,17 @@ def decode_block(buf: Any) -> list[tuple[Hashable, list[Any]]]:
                 f"truncated block: {len(view)} bytes < "
                 f"{_HEADER.size}-byte header"
             )
-        magic, codec, count, key_len, value_len = _HEADER.unpack_from(view, 0)
-        if magic != BLOCK_MAGIC:
+        magic, count, key_len, value_len = _HEADER.unpack_from(view, 0)
+        if magic != _MAGIC:
             raise CodecError(f"bad block magic {magic:#x}")
-        if codec not in _CODECS:
-            raise CodecError(f"unknown block codec {codec!r}")
         if len(view) != _HEADER.size + key_len + value_len:
             raise CodecError(
                 f"block length {len(view)} does not match header "
                 f"({_HEADER.size} + {key_len} + {value_len})"
             )
         key_end = _HEADER.size + key_len
-        keys = _decode_keys(view[_HEADER.size : key_end], codec, count)
-        try:
-            value_lists = pickle.loads(view[key_end:])
-        except Exception as exc:
-            raise CodecError(
-                f"corrupt block value section: {exc}"
-            ) from exc
-        if not isinstance(value_lists, list) or len(value_lists) != count:
-            raise CodecError(
-                "block value section does not hold the declared value lists"
-            )
+        keys = _load_section(view[_HEADER.size : key_end], "key", count)
+        value_lists = _load_section(view[key_end:], "value", count)
         return list(zip(keys, value_lists))
     finally:
         view.release()

@@ -48,11 +48,7 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 from repro.core.schema import A2ASchema, X2YSchema
 from repro.dataset import Dataset, as_dataset, iter_chunks
 from repro.engine.backends import Backend, SerialBackend, get_backend
-from repro.engine.codec import (
-    decode_block_groups,
-    encode_groups,
-    select_codec,
-)
+from repro.engine.codec import decode_block_groups, encode_groups
 from repro.engine.config import ExecutionConfig
 from repro.engine.metrics import EngineMetrics, PhaseTimings
 from repro.engine.routing import build_schema_plan
@@ -160,8 +156,7 @@ def _run_map_task(
 
     With *encode* (set exactly when the backend ships results across a
     process boundary), each non-empty bucket is returned as one encoded
-    block (:mod:`repro.engine.codec`) instead of a dict — the codec is
-    probed once from this task's keys, never per record — and empty
+    block (:mod:`repro.engine.codec`) instead of a dict, and empty
     buckets as ``None``.  ``encoded_bytes``/``encode_seconds`` report
     that work; both are 0 on the in-process backends, whose dict buckets
     are handed over by reference.
@@ -216,11 +211,10 @@ def _run_map_task(
     encode_seconds = 0.0
     if encode:
         encode_started = time.perf_counter()
-        codec = select_codec(groups)
         blocks: list[bytes | None] = []
         for bucket in buckets:
             if bucket:
-                block = encode_groups(bucket, codec)
+                block = encode_groups(bucket)
                 encoded_bytes += len(block)
                 blocks.append(block)
             else:

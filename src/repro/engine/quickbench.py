@@ -800,8 +800,8 @@ def check_spill(rows: Iterable[dict[str, object]]) -> list[str]:
     return failures
 
 
-#: Key generators for the codec bench, one per key kind the data plane
-#: distinguishes (the ``tuple`` kind exercises the pickle fallback).
+#: Key generators for the codec bench, one per key kind the paper's
+#: workloads shuffle (reducer ids, join keys, tagged tuples).
 def _int_keys(count: int) -> list:
     return list(range(count))
 
@@ -835,15 +835,14 @@ def run_codec_bench(
     transport_scale: float = 0.5,
     include_transport: bool = True,
 ) -> list[dict[str, object]]:
-    """E24: block-codec throughput, block-size sweep, and shm-vs-pipe.
+    """E24: block round-trips, block-size sweep, and shm-vs-pipe.
 
     Three row families, all best-of-*repeat*:
 
     * ``codec`` — encode/decode one *items*-key bucket per key kind
-      (int/str/bytes, plus tuples for the pickle fallback), next to a
-      plain whole-dict pickle round-trip of the same bucket (the data
-      plane this codec replaced).  Each row round-trip-verifies before
-      it reports a number.
+      (int/str/bytes/tuple) as a block, next to a plain whole-dict
+      pickle round-trip of the same bucket.  Each row
+      round-trip-verifies before it reports a number.
     * ``block_sweep`` — the same int bucket encoded in blocks of each
       *block_items* size: how block granularity trades framing overhead
       against streaming-decode batch size (the spill path's knob).
@@ -859,7 +858,6 @@ def run_codec_bench(
         decode_block_groups,
         encode_groups,
         encode_items,
-        select_codec,
     )
 
     rows: list[dict[str, object]] = []
@@ -870,11 +868,8 @@ def run_codec_bench(
             key: list(range(index, index + values_per_key))
             for index, key in enumerate(keys)
         }
-        codec = select_codec(groups)
-        block = encode_groups(groups, codec)
-        encode_wall = min(
-            _timed(encode_groups, groups, codec) for _ in range(reps)
-        )
+        block = encode_groups(groups)
+        encode_wall = min(_timed(encode_groups, groups) for _ in range(reps))
         decode_wall = min(_timed(decode_block_groups, block) for _ in range(reps))
         pickled = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)
         pickle_wall = min(
@@ -886,7 +881,6 @@ def run_codec_bench(
             {
                 "scenario": "codec",
                 "kind": kind,
-                "codec": codec.decode("ascii"),
                 "items": items,
                 "encoded_bytes": len(block),
                 "pickled_bytes": len(pickled),
@@ -897,20 +891,17 @@ def run_codec_bench(
                 "ok": decode_block_groups(block) == groups,
             }
         )
-    int_items = [
-        (key, [key]) for key in _CODEC_KEYSETS["int"](items)
-    ]
-    int_codec = select_codec(key for key, _ in int_items)
+    int_items = [(key, [key]) for key in _CODEC_KEYSETS["int"](items)]
     for size in block_items:
         size = max(1, int(size))
         blocks = [
-            encode_items(int_items[start : start + size], int_codec)
+            encode_items(int_items[start : start + size])
             for start in range(0, len(int_items), size)
         ]
 
         def _encode_all() -> None:
             for start in range(0, len(int_items), size):
-                encode_items(int_items[start : start + size], int_codec)
+                encode_items(int_items[start : start + size])
 
         def _decode_all() -> None:
             for encoded in blocks:
@@ -991,15 +982,13 @@ def _run_transport_bench(
 def check_codec(rows: Iterable[dict[str, object]]) -> list[str]:
     """Smoke check for the codec-bench rows (the E24 gate).
 
-    Every row must have round-trip-verified (``ok``); the typed kinds
-    must actually have selected their typed codec (int→``i``, str→``s``,
-    bytes→``b``) with tuples on the pickle fallback — a silent fallback
-    would quietly bench the wrong code path; and transport rows, when
-    present, must agree on the output count.  Returns failure strings
-    (empty = pass).
+    Every row must have round-trip-verified (``ok``); every key kind must
+    have a codec row that encoded a non-zero number of bytes; and
+    transport rows, when present, must have engaged the block data plane
+    and agree on the output count.  Returns failure strings (empty =
+    pass).
     """
     failures: list[str] = []
-    expected_codec = {"int": "i", "str": "s", "bytes": "b", "tuple": "p"}
     codec_rows = 0
     transport_outputs: dict[str, int] = {}
     for row in rows:
@@ -1008,13 +997,6 @@ def check_codec(rows: Iterable[dict[str, object]]) -> list[str]:
             failures.append(f"{label}: block round-trip failed")
         if row.get("scenario") == "codec":
             codec_rows += 1
-            kind = str(row.get("kind"))
-            want = expected_codec.get(kind)
-            if want is not None and row.get("codec") != want:
-                failures.append(
-                    f"{label}: selected codec {row.get('codec')!r}, "
-                    f"expected {want!r}"
-                )
             if int(row.get("encoded_bytes", 0)) <= 0:
                 failures.append(f"{label}: encoded zero bytes")
         if row.get("kind") == "transport":
@@ -1026,10 +1008,10 @@ def check_codec(rows: Iterable[dict[str, object]]) -> list[str]:
                     f"{label}/{row.get('backend')}: processes run encoded "
                     "zero bytes — the block data plane is not engaged"
                 )
-    if codec_rows < len(expected_codec):
+    if codec_rows < len(_CODEC_KEYSETS):
         failures.append(
             f"codec check compared only {codec_rows} codec rows, "
-            f"expected {len(expected_codec)} key kinds"
+            f"expected {len(_CODEC_KEYSETS)} key kinds"
         )
     if transport_outputs and len(set(transport_outputs.values())) > 1:
         failures.append(

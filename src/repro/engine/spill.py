@@ -6,10 +6,10 @@ key-value pairs: once the buffered pair count reaches the budget, the
 task's current groups are hash-partitioned (the same
 :func:`~repro.mapreduce.shuffle.partition_groups` the in-memory path uses)
 and each non-empty partition is written to disk as a *sorted run* — the
-partition's ``(key, values)`` items in sorted-key order, pickled one item
-at a time.  Reduce tasks then stream-merge their partition's runs (plus
-any in-memory leftovers) with a k-way heap merge, so at any moment a
-reduce task holds one key's merged value list, not the whole partition.
+partition's ``(key, values)`` items in sorted-key order, written as
+encoded blocks.  Reduce tasks then stream-merge their partition's runs
+(plus any in-memory leftovers) with a k-way heap merge, so at any moment
+a reduce task holds one key's merged value list, not the whole partition.
 
 Two invariants make the spilled path bit-identical to the in-memory one:
 
@@ -30,10 +30,9 @@ return file paths; the parent removes the directory when the run
 finishes).  A run file is a short pickled header ``("rblk1", item
 count)`` followed by encoded blocks (:mod:`repro.engine.codec`) of up to
 :data:`RUN_BLOCK_ITEMS` sorted items each, pickled as opaque ``bytes`` —
-the same wire format the shuffle ships, so spilling pays one typed batch
+the same wire format the shuffle ships, so spilling pays one batch
 encode per block instead of one pickle per item, and the k-way merge
-streams one decoded block at a time.  The legacy format (a pickled item
-count followed by per-item pickles) is still readable.
+streams one decoded block at a time.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
 
-from repro.engine.codec import decode_block, encode_items, select_codec
+from repro.engine.codec import decode_block, encode_items
 from repro.exceptions import CodecError, SpillError
 from repro.mapreduce.shuffle import partition_groups
 
 #: Sorted items per encoded block in a run file: large enough to amortize
-#: the per-block pickle/codec framing, small enough that the streaming
+#: the per-block pickle framing, small enough that the streaming
 #: merge holds only a sliver of a big partition in memory.
 RUN_BLOCK_ITEMS = 512
 
@@ -114,13 +113,12 @@ def write_run(
     Returns ``(path, bytes_written)``.  The file is a pickled
     ``("rblk1", item count)`` header followed by encoded blocks of up to
     :data:`RUN_BLOCK_ITEMS` ``(key, values)`` items in sorted-key order,
-    each pickled as one ``bytes`` object.  The codec is probed once per
-    run from the groups' keys; the count header lets :func:`iter_run`
-    distinguish a complete run from one truncated at a block boundary
-    (which a bare pickle stream would silently read as a shorter run).
+    each pickled as one ``bytes`` object.  The count header lets
+    :func:`iter_run` distinguish a complete run from one truncated at a
+    block boundary (which a bare pickle stream would silently read as a
+    shorter run).
     """
     items = _sorted_items(groups)
-    codec = select_codec(groups)
     fd, path = tempfile.mkstemp(dir=spill_dir, suffix=".run")
     with os.fdopen(fd, "wb") as handle:
         pickle.dump(
@@ -129,9 +127,7 @@ def write_run(
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         for start in range(0, len(items), RUN_BLOCK_ITEMS):
-            block = encode_items(
-                items[start : start + RUN_BLOCK_ITEMS], codec
-            )
+            block = encode_items(items[start : start + RUN_BLOCK_ITEMS])
             pickle.dump(block, handle, protocol=pickle.HIGHEST_PROTOCOL)
     return path, os.path.getsize(path)
 
@@ -170,11 +166,10 @@ def spill_groups(
 def iter_run(path: str) -> Iterator[tuple[Hashable, list[Any]]]:
     """Stream ``(key, values)`` items back out of one run file.
 
-    Decodes block-format runs one block at a time (memory is bounded by
-    one block, not the run) and still reads the legacy per-item-pickle
-    format.  Every failure mode — unreadable file, garbage bytes, a
-    block that does not decode, or a run holding fewer items than its
-    count header promises — raises
+    Decodes the run one block at a time, so memory is bounded by one
+    block, not the run.  Every failure mode — unreadable file, garbage
+    bytes, a block that does not decode, or a run holding fewer items
+    than its count header promises — raises
     :class:`~repro.exceptions.SpillError`; a truncated run must never be
     silently read as a shorter one (the reduce task would drop keys and
     produce wrong outputs without any error).
@@ -186,37 +181,32 @@ def iter_run(path: str) -> Iterator[tuple[Hashable, list[Any]]]:
     with handle:
         try:
             header = pickle.load(handle)
-            if (
+            if not (
                 isinstance(header, tuple)
                 and len(header) == 2
                 and header[0] == _RUN_HEADER_TAG
                 and isinstance(header[1], int)
                 and header[1] >= 0
             ):
-                remaining = header[1]
-                while remaining > 0:
-                    block = pickle.load(handle)
-                    if not isinstance(block, bytes):
-                        raise SpillError(
-                            f"corrupt spill run {path!r}: expected an "
-                            f"encoded block, got {type(block).__name__}"
-                        )
-                    items = decode_block(block)
-                    if not items or len(items) > remaining:
-                        raise SpillError(
-                            f"corrupt spill run {path!r}: block item "
-                            "count disagrees with the run header"
-                        )
-                    yield from items
-                    remaining -= len(items)
-            elif isinstance(header, int) and header >= 0:
-                # Legacy format: per-item pickles after an item count.
-                for _ in range(header):
-                    yield pickle.load(handle)
-            else:
                 raise SpillError(
                     f"corrupt spill run {path!r}: bad header {header!r}"
                 )
+            remaining = header[1]
+            while remaining > 0:
+                block = pickle.load(handle)
+                if not isinstance(block, bytes):
+                    raise SpillError(
+                        f"corrupt spill run {path!r}: expected an "
+                        f"encoded block, got {type(block).__name__}"
+                    )
+                items = decode_block(block)
+                if not items or len(items) > remaining:
+                    raise SpillError(
+                        f"corrupt spill run {path!r}: block item "
+                        "count disagrees with the run header"
+                    )
+                yield from items
+                remaining -= len(items)
         except CodecError as exc:
             raise SpillError(
                 f"corrupt or truncated spill run {path!r}: {exc}"

@@ -83,8 +83,8 @@ class CodecError(ReproError):
     """A shuffle/spill block could not be encoded or decoded.
 
     Raised by :mod:`repro.engine.codec` for every failure mode — a buffer
-    that is truncated, corrupt, or not a block at all; a typed key section
-    whose contents contradict its header; an unpicklable value payload.
+    that is truncated, corrupt, or not a block at all; a key or value
+    section whose contents contradict the header; unpicklable items.
     Wrapping the underlying ``struct.error``/``EOFError``/pickle errors in
     one typed exception keeps the data plane's error surface stable: spill
     readers re-wrap it in :class:`SpillError`, and callers never see a

@@ -4,28 +4,22 @@ The codec is the foundation of the batched data plane: every shuffle
 block and spill run round-trips through it, so the contract is strict —
 exact-type key preservation (``True`` must never come back as ``1``),
 insertion-order preservation, and ``CodecError`` (never ``struct.error``
-/ ``EOFError`` / ``UnicodeDecodeError``) on every malformed input.
+/ ``EOFError`` / ``UnpicklingError``) on every malformed input.
 """
 
 from __future__ import annotations
 
 import pickle
-import struct
 
 import pytest
 
 from repro.engine.codec import (
-    BLOCK_MAGIC,
-    CODEC_BYTES,
-    CODEC_INT,
-    CODEC_PICKLE,
-    CODEC_STR,
     _HEADER,
+    _MAGIC,
     decode_block,
     decode_block_groups,
     encode_groups,
     encode_items,
-    select_codec,
 )
 from repro.exceptions import CodecError, ReproError
 
@@ -33,40 +27,18 @@ INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
 
 
-def roundtrip(items, codec=None):
-    if codec is None:
-        codec = select_codec(key for key, _ in items)
-    return decode_block(encode_items(items, codec))
+class MyInt(int):
+    pass
 
 
-class TestSelectCodec:
-    def test_typed_probes(self):
-        assert select_codec([1, -5, 10**12]) == CODEC_INT
-        assert select_codec(["a", "", "é中"]) == CODEC_STR
-        assert select_codec([b"", b"\xff\x00"]) == CODEC_BYTES
+def roundtrip(items):
+    return decode_block(encode_items(items))
 
-    def test_mixed_and_exotic_probes_fall_back(self):
-        assert select_codec([1, "a"]) == CODEC_PICKLE
-        assert select_codec([("t", 1), ("t", 2)]) == CODEC_PICKLE
-        assert select_codec([None]) == CODEC_PICKLE
-        assert select_codec([3.25]) == CODEC_PICKLE
-        assert select_codec([]) == CODEC_PICKLE
 
-    def test_bool_is_not_int(self):
-        # struct would pack True as 1; the probe must refuse so the
-        # decoded key compares *and types* identically.
-        assert select_codec([True, False]) == CODEC_PICKLE
-        assert select_codec([1, True]) == CODEC_PICKLE
-
-    def test_subclasses_disqualify(self):
-        class MyStr(str):
-            pass
-
-        class MyInt(int):
-            pass
-
-        assert select_codec([MyStr("x")]) == CODEC_PICKLE
-        assert select_codec([MyInt(3)]) == CODEC_PICKLE
+def frame(key_blob: bytes, value_blob: bytes, count: int) -> bytes:
+    """Hand-build a block around arbitrary key and value sections."""
+    header = _HEADER.pack(_MAGIC, count, len(key_blob), len(value_blob))
+    return header + key_blob + value_blob
 
 
 class TestRoundTrip:
@@ -77,33 +49,31 @@ class TestRoundTrip:
             ["", "word", "unicode-é中", "emoji-🎉", "a" * 5000],
             [b"", b"raw", b"\xff\xfe\x00\x80", bytes(range(256))],
             [("light", 7), ("hh", 3, 12), (), None, 3.25, frozenset({1})],
+            pytest.param([True, False, 1, 0], id="bool-vs-int"),
+            pytest.param([MyInt(3), 3], id="int-subclass"),
+            pytest.param(
+                [INT64_MAX + 1, INT64_MIN - 1, 10**40], id="beyond-int64"
+            ),
+            pytest.param(
+                ["\ud800", "ok\udfff-tail", "😀"], id="lone-surrogates"
+            ),
+            pytest.param([b"\x80", b"\xc3\x28", b"\xff"], id="non-utf8-bytes"),
         ],
     )
-    def test_typed_and_fallback_keys(self, keys):
+    def test_keys_round_trip_with_exact_types(self, keys):
         items = [(key, [index, "v"]) for index, key in enumerate(keys)]
-        assert roundtrip(items) == items
-
-    def test_decoded_types_are_exact(self):
-        items = [(True, [1]), (False, [2]), (1, [3]), (0, [4])]
         decoded = roundtrip(items)
-        assert [type(key) for key, _ in decoded] == [bool, bool, int, int]
         assert decoded == items
-
-    def test_lone_surrogates_round_trip(self):
-        # surrogatepass makes the str codec a bijection on str.
-        keys = ["\ud800", "ok\udfff-tail", "😀"]
-        items = [(key, [key]) for key in keys]
-        block = encode_items(items, CODEC_STR)
-        assert decode_block(block) == items
+        # Equality alone would accept True == 1; the types must match too.
+        assert [type(key) for key, _ in decoded] == [type(key) for key in keys]
 
     def test_empty_block(self):
-        for codec in (CODEC_INT, CODEC_STR, CODEC_BYTES, CODEC_PICKLE):
-            assert decode_block(encode_items([], codec)) == []
+        assert decode_block(encode_items([])) == []
         assert decode_block_groups(encode_groups({})) == {}
 
     def test_insertion_order_preserved(self):
         groups = {f"k{i}": [i] for i in (7, 2, 9, 0, 5)}
-        decoded = decode_block_groups(encode_groups(groups, CODEC_STR))
+        decoded = decode_block_groups(encode_groups(groups))
         assert list(decoded) == list(groups)
         assert decoded == groups
 
@@ -112,51 +82,24 @@ class TestRoundTrip:
             (1, [("tuple", 2), {"nested": [1, 2]}, None]),
             (2, [b"\x00\xff", frozenset({3})]),
         ]
-        assert roundtrip(items, CODEC_INT) == items
+        assert roundtrip(items) == items
 
     def test_decode_accepts_memoryview(self):
         items = [(5, [1]), (6, [2])]
-        block = encode_items(items, CODEC_INT)
+        block = encode_items(items)
         view = memoryview(block)
         assert decode_block(view) == items
         # decode released its internal views; the caller's is untouched.
         assert view.obj is block
 
-
-class TestPerBlockFallback:
-    """The probe is per-phase; each block still re-verifies its keys."""
-
-    def test_mismatched_block_falls_back_silently(self):
-        items = [("str-key", [1]), ("other", [2])]
-        block = encode_items(items, CODEC_INT)  # probe said int; keys are str
-        assert block[1:2] == CODEC_PICKLE
-        assert decode_block(block) == items
-
-    def test_out_of_range_int_falls_back(self):
-        items = [(INT64_MAX + 1, [1]), (INT64_MIN - 1, [2])]
-        block = encode_items(items, CODEC_INT)
-        assert block[1:2] == CODEC_PICKLE
-        assert decode_block(block) == items
-
-    def test_bool_key_under_int_codec_falls_back(self):
-        items = [(True, [1])]
-        block = encode_items(items, CODEC_INT)
-        assert block[1:2] == CODEC_PICKLE
-        (key, values), = decode_block(block)
-        assert key is True and type(key) is bool and values == [1]
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(CodecError, match="unknown block codec"):
-            encode_items([(1, [2])], b"z")
-
     def test_unpicklable_values_raise_codec_error(self):
         with pytest.raises(CodecError, match="not picklable"):
-            encode_items([(1, [lambda: None])], CODEC_INT)
+            encode_items([(1, [lambda: None])])
 
 
 class TestMalformedInput:
     """Every corruption mode must surface as CodecError — a repro type —
-    never as a bare struct/pickle/unicode exception."""
+    never as a bare struct/pickle exception."""
 
     def test_codec_error_is_a_repro_error(self):
         assert issubclass(CodecError, ReproError)
@@ -166,7 +109,7 @@ class TestMalformedInput:
         [
             b"",
             b"\xb5",
-            b"\xb5i\x01\x00",
+            b"\xb5\x01\x00\x00\x00\x00",
             bytes(_HEADER.size - 1),
         ],
     )
@@ -175,104 +118,63 @@ class TestMalformedInput:
             decode_block(buf)
 
     def test_bad_magic(self):
-        block = bytearray(encode_items([(1, [2])], CODEC_INT))
+        block = bytearray(encode_items([(1, [2])]))
         block[0] = 0x00
         with pytest.raises(CodecError, match="bad block magic"):
             decode_block(bytes(block))
 
-    def test_unknown_codec_id(self):
-        block = bytearray(encode_items([(1, [2])], CODEC_INT))
-        block[1] = ord("z")
-        with pytest.raises(CodecError, match="unknown block codec"):
-            decode_block(bytes(block))
-
     def test_truncated_body(self):
-        block = encode_items([(1, [2]), (2, [3])], CODEC_INT)
+        block = encode_items([(1, [2]), (2, [3])])
         with pytest.raises(CodecError, match="does not match header"):
             decode_block(block[:-3])
 
     def test_trailing_garbage(self):
-        block = encode_items([(1, [2])], CODEC_INT)
+        block = encode_items([(1, [2])])
         with pytest.raises(CodecError, match="does not match header"):
             decode_block(block + b"extra")
 
-    def test_int_key_section_size_mismatch(self):
-        # Claim 3 items but supply an int key section sized for 2.
-        key_blob = struct.pack("<2q", 1, 2)
-        value_blob = pickle.dumps([[1], [2], [3]])
-        header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_INT, 3, len(key_blob), len(value_blob)
-        )
-        with pytest.raises(CodecError, match="int key section"):
-            decode_block(header + key_blob + value_blob)
+    @pytest.mark.parametrize("section", ["key", "value"])
+    def test_corrupt_section(self, section):
+        good, bad = pickle.dumps([1]), b"\x80\x05 not a pickle stream"
+        sections = (bad, good) if section == "key" else (good, bad)
+        with pytest.raises(CodecError, match=f"corrupt block {section}"):
+            decode_block(frame(*sections, 1))
 
-    def test_str_length_prefixes_disagree_with_section(self):
-        block = bytearray(encode_items([("abc", [1])], CODEC_STR))
-        # Bump the single length prefix from 3 to 4.
-        struct.pack_into("<I", block, _HEADER.size, 4)
-        with pytest.raises(CodecError, match="length prefixes"):
-            decode_block(bytes(block))
+    @pytest.mark.parametrize(
+        "keys, value_lists, section",
+        [
+            pytest.param([1, 2, 3], [[1], [2]], "key", id="more-keys"),
+            pytest.param([1], [[1], [2]], "key", id="fewer-keys"),
+            pytest.param([1, 2], [[1], [2], [3]], "value", id="more-values"),
+            pytest.param([1, 2], [[1]], "value", id="fewer-values"),
+        ],
+    )
+    def test_section_wrong_count(self, keys, value_lists, section):
+        block = frame(pickle.dumps(keys), pickle.dumps(value_lists), 2)
+        with pytest.raises(CodecError, match=f"{section} section does not"):
+            decode_block(block)
 
-    def test_str_section_too_short_for_prefixes(self):
-        value_blob = pickle.dumps([[1], [2]])
-        header = _HEADER.pack(BLOCK_MAGIC, CODEC_STR, 2, 4, len(value_blob))
-        buf = header + struct.pack("<I", 0) + value_blob
-        with pytest.raises(CodecError, match="too short"):
-            decode_block(buf)
-
-    def test_non_utf8_str_keys_raise_codec_error(self):
-        # Hand-build a str block whose key bytes are not decodable even
-        # with surrogatepass (a bare continuation byte).
-        raw = b"\x80"
-        key_blob = struct.pack("<I", len(raw)) + raw
-        value_blob = pickle.dumps([[1]])
-        header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_STR, 1, len(key_blob), len(value_blob)
-        )
-        with pytest.raises(CodecError, match="undecodable str key"):
-            decode_block(header + key_blob + value_blob)
-
-    def test_corrupt_pickled_key_section(self):
-        key_blob = b"not a pickle"
-        value_blob = pickle.dumps([[1]])
-        header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_PICKLE, 1, len(key_blob), len(value_blob)
-        )
-        with pytest.raises(CodecError, match="key section"):
-            decode_block(header + key_blob + value_blob)
-
-    def test_pickled_key_section_wrong_count(self):
-        key_blob = pickle.dumps([1, 2, 3])
-        value_blob = pickle.dumps([[1]])
-        header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_PICKLE, 1, len(key_blob), len(value_blob)
-        )
-        with pytest.raises(CodecError, match="declared key list"):
-            decode_block(header + key_blob + value_blob)
-
-    def test_corrupt_value_section(self):
-        key_blob = struct.pack("<1q", 1)
-        value_blob = b"\x80\x05 not a pickle stream"
-        header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_INT, 1, len(key_blob), len(value_blob)
-        )
-        with pytest.raises(CodecError, match="value section"):
-            decode_block(header + key_blob + value_blob)
-
-    def test_value_section_wrong_count(self):
-        key_blob = struct.pack("<2q", 1, 2)
-        value_blob = pickle.dumps([[1]])
-        header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_INT, 2, len(key_blob), len(value_blob)
-        )
-        with pytest.raises(CodecError, match="declared value lists"):
-            decode_block(header + key_blob + value_blob)
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param((1,), id="tuple"),
+            pytest.param({1: [1]}, id="dict"),
+            pytest.param("x", id="str"),
+            pytest.param(None, id="none"),
+        ],
+    )
+    @pytest.mark.parametrize("section", ["key", "value"])
+    def test_section_wrong_shape(self, payload, section):
+        good, bad = pickle.dumps([1]), pickle.dumps(payload)
+        sections = (bad, good) if section == "key" else (good, bad)
+        with pytest.raises(CodecError, match=f"{section} section does not"):
+            decode_block(frame(*sections, 1))
 
     def test_random_garbage_never_leaks_builtin_errors(self):
         payloads = [
-            bytes([BLOCK_MAGIC]) + b"i" + bytes(12),
-            bytes([BLOCK_MAGIC]) + b"p" + b"\xff" * 20,
-            encode_items([(1, [1])], CODEC_INT)[::-1],
+            bytes([_MAGIC]) + bytes(16),
+            frame(b"\xff" * 20, b"\xff" * 20, 1),
+            encode_items([(1, [1])])[::-1],
             b"\x00" * 64,
         ]
         for payload in payloads:

@@ -97,14 +97,17 @@ class TestSpillPrimitives:
             list(merge_sources([str(tmp_path / "gone.run")]))
 
     def test_run_truncated_at_item_boundary_raises(self, tmp_path):
-        # A run whose count header promises more items than the file
-        # holds must fail loudly, not be read as a shorter run.
+        # A run whose count header promises more items than its blocks
+        # hold must fail loudly, not be read as a shorter run.
         import pickle
+
+        from repro.engine.codec import encode_items
+        from repro.engine.spill import _RUN_HEADER_TAG
 
         path = tmp_path / "short.run"
         with open(path, "wb") as handle:
-            pickle.dump(2, handle)
-            pickle.dump(("a", [1]), handle)  # second item missing
+            pickle.dump((_RUN_HEADER_TAG, 2), handle)
+            pickle.dump(encode_items([("a", [1])]), handle)  # one item short
         with pytest.raises(SpillError, match="truncated"):
             list(merge_sources([str(path)]))
 

@@ -59,8 +59,11 @@ class TestCodecBench:
             items=200, repeat=1, block_items=(64,), include_transport=False
         )
         assert check_codec(rows) == []
-        kinds = {r["kind"] for r in rows if r["scenario"] == "codec"}
+        codec_rows = [r for r in rows if r["scenario"] == "codec"]
+        kinds = {r["kind"] for r in codec_rows}
         assert kinds == {"int", "str", "bytes", "tuple"}
+        # One block format for every key kind: no per-kind codec column.
+        assert not any("codec" in r for r in codec_rows)
 
     def test_gate_catches_failed_roundtrip(self):
         rows = run_codec_bench(
@@ -70,14 +73,12 @@ class TestCodecBench:
         failures = check_codec(rows)
         assert failures and "round-trip failed" in failures[0]
 
-    def test_gate_catches_wrong_codec_selection(self):
+    def test_gate_catches_missing_key_kind(self):
         rows = run_codec_bench(
             items=50, repeat=1, block_items=(16,), include_transport=False
         )
-        for row in rows:
-            if row["scenario"] == "codec" and row["kind"] == "int":
-                row["codec"] = "p"
-        assert any("selected codec" in f for f in check_codec(rows))
+        rows = [r for r in rows if r["kind"] != "tuple"]
+        assert any("only 3 codec rows" in f for f in check_codec(rows))
 
 
 class TestScenarios:
