@@ -1,4 +1,4 @@
-"""Common-friends computation on the simulated MapReduce cluster.
+"""Common-friends computation on the MapReduce execution engine.
 
 The paper's social-network A2A example: for every pair of users, compute
 the friends they share.  Friend lists are the different-sized inputs; the
@@ -7,9 +7,8 @@ each reducer emits results only for the pairs it canonically owns.
 
 Like the other applications, this is a thin spec builder over the
 planner: :func:`common_friends_spec` states the problem, the planner
-picks the schema, and the engine path funnels through
-:func:`repro.planner.run` (the default path stays on the reference
-simulator).
+picks the schema, and the job runs on the engine through
+:func:`repro.planner.run` (serial backend unless told otherwise).
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from repro import planner
 from repro.core.schema import A2ASchema
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_meeting_table, a2a_memberships
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.routing import a2a_meeting_table
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.social import User, common_friends
@@ -39,10 +37,9 @@ class CommonFriendsRun:
             decides what to drop — mirroring the problem statement where
             *every* pair corresponds to one output).
         schema: the mapping schema used.
-        metrics: simulator metrics (engine runs report the identical
-            analytical metrics).
-        engine: physical execution metrics when the run went through the
-            engine; ``None`` for simulator runs.
+        metrics: the paper's analytical job metrics.
+        engine: physical execution metrics of the run (backend, phase
+            timings, task counts).
         plan: the planner's full decision record for this run.
     """
 
@@ -79,7 +76,7 @@ def _common_friends_reduce(
     *,
     owners: dict[tuple[int, int], int],
 ) -> Iterator[tuple[int, int, frozenset[int]]]:
-    """Engine-path reducer: emit canonically-owned pairs' shared friends.
+    """The job's reducer: emit canonically-owned pairs' shared friends.
 
     Values arrive as ``(input_index, user)``; module-level (data bound via
     :func:`functools.partial`) so the ``processes`` backend can pickle it.
@@ -105,12 +102,13 @@ def run_common_friends(
     """Run the schema-driven common-friends job end to end.
 
     Users are indexed by list position; capacity is enforced strictly
-    (a correct schema cannot overflow).  With neither ``backend=`` nor
-    ``config=`` the job runs on the reference simulator; naming a backend
-    or passing an :class:`~repro.engine.config.ExecutionConfig` routes it
-    through the engine with identical outputs.  ``method="planned"``
-    enables full cost-based planning under *objective* and defaults to
-    the plan's resolved execution configuration.
+    (a correct schema cannot overflow).  The job runs on the engine:
+    with neither ``backend=`` nor ``config=`` on the serial backend
+    (``ExecutionConfig()``); naming a backend or passing an
+    :class:`~repro.engine.config.ExecutionConfig` picks another, with
+    identical outputs.  ``method="planned"`` enables full cost-based
+    planning under *objective* and defaults to the plan's resolved
+    execution configuration.
     """
     spec = common_friends_spec(users, q, method=method, objective=objective)
     planned = planner.plan(spec)
@@ -118,50 +116,18 @@ def run_common_friends(
     owners = a2a_meeting_table(schema)
 
     execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
-        execution = planned.execution
-    if execution is not None:
-        result = planner.run(
-            planned,
-            users,
-            partial(_common_friends_reduce, owners=owners),
-            config=execution,
-        )
-        return CommonFriendsRun(
-            pairs=tuple(result.outputs),
-            schema=schema,
-            metrics=result.metrics,
-            engine=result.engine,
-            plan=planned,
-        )
-
-    memberships = a2a_memberships(schema)
-    position = {id(user): i for i, user in enumerate(users)}
-
-    def map_fn(user: User):
-        for r in memberships[position[id(user)]]:
-            yield r, user
-
-    def reduce_fn(key, members: list[User]):
-        ordered = sorted(members, key=lambda u: position[id(u)])
-        for a_pos, user_a in enumerate(ordered):
-            i = position[id(user_a)]
-            for user_b in ordered[a_pos + 1:]:
-                j = position[id(user_b)]
-                if owners[(i, j)] != key:
-                    continue
-                yield (user_a.user_id, user_b.user_id, common_friends(user_a, user_b))
-
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        reducer_capacity=q,
-        strict_capacity=True,
+    if execution is None:
+        execution = planned.execution if method == "planned" else ExecutionConfig()
+    result = planner.run(
+        planned,
+        users,
+        partial(_common_friends_reduce, owners=owners),
+        config=execution,
     )
-    result = job.run(users)
     return CommonFriendsRun(
         pairs=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
+        engine=result.engine,
         plan=planned,
     )

@@ -1,4 +1,4 @@
-"""Similarity join on the simulated MapReduce cluster.
+"""Similarity join on the MapReduce execution engine.
 
 The paper's A2A motivating application: every pair of documents must be
 compared (the similarity function admits no LSH shortcut).  The schema
@@ -9,7 +9,7 @@ The app is a thin spec builder over the planner pipeline:
 :func:`similarity_spec` states the problem as a
 :class:`~repro.planner.spec.JobSpec`, :func:`repro.planner.plan` picks the
 schema (the structural fast path by default, full cost-based planning
-with ``method="planned"``), and the engine path funnels through
+with ``method="planned"``), and the job runs through
 :func:`repro.planner.run`.
 
 Also provides the naive broadcast baseline (all documents to one reducer)
@@ -27,9 +27,9 @@ from repro.core.instance import A2AInstance
 from repro.core.schema import A2ASchema
 from repro.dataset import Dataset
 from repro.engine.config import ExecutionConfig, resolve_execution
+from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import a2a_meeting_table, a2a_memberships
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.routing import a2a_meeting_table
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
@@ -45,9 +45,9 @@ class SimilarityJoinRun:
         pairs: ``(doc_id_a, doc_id_b, similarity)`` for every pair at or
             above the threshold, each emitted exactly once.
         schema: the mapping schema used.
-        metrics: job metrics of the run (simulator and engine agree).
-        engine: physical execution metrics when the run went through the
-            engine (``backend=`` was given); ``None`` for simulator runs.
+        metrics: job metrics of the run.
+        engine: physical execution metrics of the run (backend, phase
+            timings, task counts).
         plan: the planner's full decision record for this run.
     """
 
@@ -90,7 +90,7 @@ def _similarity_reduce(
     owners: dict[tuple[int, int], int],
     threshold: float,
 ) -> Iterator[tuple[int, int, float]]:
-    """Reducer for the engine path: compare canonically-owned pairs.
+    """The join's reducer: compare canonically-owned pairs.
 
     Values arrive as ``(input_index, document)``; *owners* is the schema's
     precomputed meeting table (:func:`a2a_meeting_table`), so ownership is
@@ -128,22 +128,21 @@ def run_similarity_join(
     strictly: a correct schema never overflows, so an exception here means
     a bug, not a workload property.
 
-    With neither ``backend=`` nor ``config=`` the job runs on the
-    reference simulator; naming a backend (``"serial"``, ``"threads"``,
-    ``"processes"``) or passing an
+    The job runs on :mod:`repro.engine`, which reports phase timings in
+    ``run.engine``.  With neither ``backend=`` nor ``config=`` it uses
+    the serial backend (``ExecutionConfig()``); naming a backend
+    (``"serial"``, ``"threads"``, ``"processes"``) or passing an
     :class:`~repro.engine.config.ExecutionConfig` (which may set a
-    ``memory_budget`` for the out-of-core shuffle) routes it through
-    :mod:`repro.engine` instead, which produces identical pairs and
-    additionally reports phase timings in ``run.engine``.
-    ``method="planned"`` enables full cost-based planning under
-    *objective* and — when no execution knobs are given — runs on the
-    plan's resolved :class:`~repro.engine.config.ExecutionConfig`.
+    ``memory_budget`` for the out-of-core shuffle) picks another, with
+    identical pairs.  ``method="planned"`` enables full cost-based
+    planning under *objective* and — when no execution knobs are given —
+    runs on the plan's resolved
+    :class:`~repro.engine.config.ExecutionConfig`.
     *documents* may be a :class:`~repro.dataset.Dataset` (materialized
     once for schema planning — the sizes must be known before any record
-    is routed).  A *tracer* records ``plan``/``score:*`` spans and, on
-    the engine path, the ``map``/``shuffle``/``reduce`` phase spans; a
-    *profiler* attributes CPU/RSS and function time to those phases
-    (engine path only).
+    is routed).  A *tracer* records ``plan``/``score:*`` spans and the
+    ``map``/``shuffle``/``reduce`` phase spans; a *profiler* attributes
+    CPU/RSS and function time to those phases.
     """
     if isinstance(documents, Dataset):
         documents = documents.materialize()
@@ -153,60 +152,21 @@ def run_similarity_join(
     owners = a2a_meeting_table(schema)
 
     execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
-        execution = planned.execution
-    if execution is not None:
-        reduce_fn = partial(
-            _similarity_reduce,
-            owners=owners,
-            threshold=threshold,
-        )
-        result = planner.run(
-            planned,
-            documents,
-            reduce_fn,
-            config=execution,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        return SimilarityJoinRun(
-            pairs=tuple(result.outputs),
-            schema=schema,
-            metrics=result.metrics,
-            engine=result.engine,
-            plan=planned,
-        )
-
-    memberships = a2a_memberships(schema)
-    position = {id(doc): i for i, doc in enumerate(documents)}
-
-    def map_fn(doc: Document):
-        for r in memberships[position[id(doc)]]:
-            yield r, doc
-
-    def reduce_fn(key, docs: list[Document]):
-        by_position = sorted(docs, key=lambda d: position[id(d)])
-        for a_idx, doc_a in enumerate(by_position):
-            i = position[id(doc_a)]
-            for doc_b in by_position[a_idx + 1:]:
-                j = position[id(doc_b)]
-                if owners[(i, j)] != key:
-                    continue
-                similarity = jaccard(doc_a, doc_b)
-                if similarity >= threshold:
-                    yield (doc_a.doc_id, doc_b.doc_id, similarity)
-
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        reducer_capacity=q,
-        strict_capacity=True,
+    if execution is None:
+        execution = planned.execution if method == "planned" else ExecutionConfig()
+    result = planner.run(
+        planned,
+        documents,
+        partial(_similarity_reduce, owners=owners, threshold=threshold),
+        config=execution,
+        tracer=tracer,
+        profiler=profiler,
     )
-    result = job.run(documents)
     return SimilarityJoinRun(
         pairs=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
+        engine=result.engine,
         plan=planned,
     )
 
@@ -218,8 +178,9 @@ def run_broadcast_baseline(
 ) -> SimilarityJoinRun:
     """Naive baseline: ship every document to a single reducer.
 
-    Runs with non-strict capacity so the (expected) overflow is *measured*
-    rather than fatal — E7 reports the violation count and max load.
+    Runs on the serial engine with non-strict capacity so the (expected)
+    overflow is *measured* rather than fatal — E7 reports the violation
+    count and max load.
     The schema recorded is the trivial one-reducer schema.
     """
     instance = A2AInstance([d.size for d in documents], max(q, instance_total(documents)))
@@ -237,15 +198,18 @@ def run_broadcast_baseline(
                 if similarity >= threshold:
                     yield (docs[a_idx].doc_id, docs[b_idx].doc_id, similarity)
 
-    job = MapReduceJob(
+    engine = ExecutionEngine(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         reducer_capacity=q,
         strict_capacity=False,
     )
-    result = job.run(documents)
+    result = engine.run(documents)
     return SimilarityJoinRun(
-        pairs=tuple(result.outputs), schema=schema, metrics=result.metrics
+        pairs=tuple(result.outputs),
+        schema=schema,
+        metrics=result.metrics,
+        engine=result.engine,
     )
 
 

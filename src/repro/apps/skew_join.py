@@ -1,4 +1,4 @@
-"""Skew join of X(A, B) and Y(B, C) on the simulated cluster.
+"""Skew join of X(A, B) and Y(B, C) on the MapReduce execution engine.
 
 The paper's X2Y motivating application.  A conventional repartition join
 sends every tuple with join key ``b`` to reducer ``hash(b)``; a heavy
@@ -20,7 +20,6 @@ from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.engine import ExecutionEngine
 from repro.engine.metrics import EngineMetrics
 from repro.engine.routing import x2y_memberships, x2y_meeting_table
-from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.metrics import JobMetrics
 from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import Tracer
@@ -38,12 +37,12 @@ class SkewJoinRun:
 
     Attributes:
         triples: the join output ``(a, b, c)`` = (X payload, key, Y payload).
-        metrics: job metrics (simulator and engine agree).
+        metrics: the paper's analytical job metrics.
         heavy_keys: join keys handled by X2Y schemas (empty for the
             baseline).
         schemas: the per-heavy-key schemas, keyed by join key.
-        engine: physical execution metrics when ``backend=`` routed the run
-            through the engine; ``None`` for simulator runs.
+        engine: physical execution metrics of the run (backend, phase
+            timings, task counts).
         plans: the planner's per-heavy-key decision records, keyed by
             join key.
     """
@@ -75,8 +74,9 @@ def naive_join(x: Relation, y: Relation) -> set[tuple[int, int, int]]:
 def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
     """Conventional repartition join: one reducer per join key.
 
-    Runs with non-strict capacity so heavy hitters *overflow measurably*
-    instead of crashing — E6 reports exactly that overflow.
+    Runs on the serial engine with non-strict capacity so heavy hitters
+    *overflow measurably* instead of crashing — E6 reports exactly that
+    overflow.
     """
 
     def map_fn(record: tuple[str, Tuple2]):
@@ -90,7 +90,7 @@ def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
             for ty in y_tuples:
                 yield (tx.payload, key, ty.payload)
 
-    job = MapReduceJob(
+    engine = ExecutionEngine(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         size_of=lambda value: value[1].size,
@@ -98,8 +98,10 @@ def hash_join(x: Relation, y: Relation, q: int) -> SkewJoinRun:
         strict_capacity=False,
     )
     records = [("x", t) for t in x.tuples] + [("y", t) for t in y.tuples]
-    result = job.run(records)
-    return SkewJoinRun(triples=tuple(result.outputs), metrics=result.metrics)
+    result = engine.run(records)
+    return SkewJoinRun(
+        triples=tuple(result.outputs), metrics=result.metrics, engine=result.engine
+    )
 
 
 #: Per-heavy-key routing plan: the two per-side membership tables (used by
@@ -211,19 +213,18 @@ def schema_skew_join(
     Light keys keep the conventional per-key reducer ``("light", key)``.
     Capacity is enforced strictly: by construction nothing overflows.
 
-    With neither ``backend=`` nor ``config=`` the job runs on the
-    reference simulator; naming a backend (``"serial"``, ``"threads"``,
-    ``"processes"``) or passing an
+    The job runs on :mod:`repro.engine`, which reports phase timings in
+    ``run.engine``.  With neither ``backend=`` nor ``config=`` it uses
+    the serial backend (``ExecutionConfig()``); naming a backend
+    (``"serial"``, ``"threads"``, ``"processes"``) or passing an
     :class:`~repro.engine.config.ExecutionConfig` (which may set a
-    ``memory_budget`` for the out-of-core shuffle) runs the same
-    map/reduce functions through :mod:`repro.engine`, producing identical
-    triples plus phase timings in ``run.engine``.  ``method="planned"``
+    ``memory_budget`` for the out-of-core shuffle) picks another, with
+    identical triples.  ``method="planned"``
     plans every heavy key's schema cost-based under *objective* and —
     when no execution knobs are given — resolves the engine configuration
     from the environment probe.  A *tracer* records one ``plan`` span per
-    heavy key plus the engine phase spans on engine-backed runs; a
-    *profiler* attributes CPU/RSS and function time to those phases
-    (engine path only).
+    heavy key plus the engine phase spans; a *profiler* attributes
+    CPU/RSS and function time to those phases.
     """
     heavy = heavy_hitters(x, y, q)
     heavy_set = frozenset(heavy)
@@ -292,39 +293,22 @@ def schema_skew_join(
             communication_cost=light_comm
             + sum(s.communication_cost for s in schemas.values()),
         )
-    if execution is not None:
-        engine = ExecutionEngine.from_config(
-            execution,
-            map_fn=map_fn,
-            reduce_fn=reduce_fn,
-            size_of=_skew_record_size,
-            reducer_capacity=q,
-            strict_capacity=True,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        result = engine.run(records)
-        return SkewJoinRun(
-            triples=tuple(result.outputs),
-            metrics=result.metrics,
-            heavy_keys=tuple(heavy),
-            schemas=schemas,
-            engine=result.engine,
-            plans=plans,
-        )
-
-    job = MapReduceJob(
+    engine = ExecutionEngine.from_config(
+        execution if execution is not None else ExecutionConfig(),
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         size_of=_skew_record_size,
         reducer_capacity=q,
         strict_capacity=True,
+        tracer=tracer,
+        profiler=profiler,
     )
-    result = job.run(records)
+    result = engine.run(records)
     return SkewJoinRun(
         triples=tuple(result.outputs),
         metrics=result.metrics,
         heavy_keys=tuple(heavy),
         schemas=schemas,
+        engine=result.engine,
         plans=plans,
     )

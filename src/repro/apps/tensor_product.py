@@ -1,4 +1,4 @@
-"""Distributed outer (tensor) product on the simulated cluster.
+"""Distributed outer (tensor) product on the MapReduce execution engine.
 
 The paper's third X2Y example: for block-partitioned vectors ``u`` and
 ``v``, every (u-block, v-block) pair must meet to produce its tile of the
@@ -6,9 +6,8 @@ outer-product matrix ``u v^T``.  Blocks of different sizes are exactly the
 different-sized inputs the schema machinery handles.
 
 A thin spec builder over the planner: :func:`outer_product_spec` states
-the problem, the planner picks the schema, and the engine path funnels
-through :func:`repro.planner.run` (the default path stays on the
-reference simulator).
+the problem, the planner picks the schema, and the job runs on the engine
+through :func:`repro.planner.run` (serial backend unless told otherwise).
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from repro import planner
 from repro.core.schema import X2YSchema
 from repro.engine.config import ExecutionConfig, resolve_execution
 from repro.engine.metrics import EngineMetrics
-from repro.engine.routing import x2y_meeting_table, x2y_memberships
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.routing import x2y_meeting_table
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.vectors import BlockVector, VectorBlock
@@ -36,11 +34,10 @@ class OuterProductRun:
         entries: ``(row, col, value)`` triples covering the whole matrix,
             each exactly once.
         schema: the X2Y mapping schema used.
-        metrics: simulator metrics (engine runs report the identical
-            analytical metrics).
+        metrics: the paper's analytical job metrics.
         shape: ``(len(u), len(v))`` of the full matrix.
-        engine: physical execution metrics when the run went through the
-            engine; ``None`` for simulator runs.
+        engine: physical execution metrics of the run (backend, phase
+            timings, task counts).
         plan: the planner's full decision record for this run.
     """
 
@@ -84,7 +81,7 @@ def _outer_product_reduce(
     *,
     owners: dict[tuple[int, int], int],
 ) -> Iterator[tuple[int, int, float]]:
-    """Engine-path reducer: emit tiles of canonically-owned block pairs.
+    """The job's reducer: emit tiles of canonically-owned block pairs.
 
     Values arrive as ``(side, input_index, block)`` with side ``"x"`` for
     u-blocks and ``"y"`` for v-blocks; module-level so the ``processes``
@@ -116,12 +113,13 @@ def distributed_outer_product(
 
     Block sizes define the instance; each reducer computes the tiles of the
     (u-block, v-block) pairs it canonically owns.  Capacity is strict — a
-    correct schema cannot overflow.  With neither ``backend=`` nor
-    ``config=`` the job runs on the reference simulator; naming a backend
-    or passing an :class:`~repro.engine.config.ExecutionConfig` routes it
-    through the engine with identical entries.  ``method="planned"``
-    enables full cost-based planning under *objective* and defaults to
-    the plan's resolved execution configuration.
+    correct schema cannot overflow.  The job runs on the engine: with
+    neither ``backend=`` nor ``config=`` on the serial backend
+    (``ExecutionConfig()``); naming a backend or passing an
+    :class:`~repro.engine.config.ExecutionConfig` picks another, with
+    identical entries.  ``method="planned"`` enables full cost-based
+    planning under *objective* and defaults to the plan's resolved
+    execution configuration.
     """
     spec = outer_product_spec(u, v, q, method=method, objective=objective)
     planned = planner.plan(spec)
@@ -129,56 +127,19 @@ def distributed_outer_product(
     owners = x2y_meeting_table(schema)
 
     execution = resolve_execution(config, backend, num_workers)
-    if execution is None and method == "planned":
-        execution = planned.execution
-    if execution is not None:
-        result = planner.run(
-            planned,
-            (u.blocks, v.blocks),
-            partial(_outer_product_reduce, owners=owners),
-            config=execution,
-        )
-        return OuterProductRun(
-            entries=tuple(result.outputs),
-            schema=schema,
-            metrics=result.metrics,
-            shape=(u.dimension, v.dimension),
-            engine=result.engine,
-            plan=planned,
-        )
-
-    x_members, y_members = x2y_memberships(schema)
-
-    def map_fn(record: tuple[str, VectorBlock]):
-        side, block = record
-        members = x_members if side == "u" else y_members
-        for r in members[block.block_id]:
-            yield r, (side, block)
-
-    def reduce_fn(key, values):
-        u_blocks = [b for side, b in values if side == "u"]
-        v_blocks = [b for side, b in values if side == "v"]
-        for ub in u_blocks:
-            for vb in v_blocks:
-                if owners[(ub.block_id, vb.block_id)] != key:
-                    continue
-                for a, u_val in enumerate(ub.values):
-                    for b, v_val in enumerate(vb.values):
-                        yield (ub.offset + a, vb.offset + b, u_val * v_val)
-
-    job = MapReduceJob(
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        size_of=lambda value: value[1].size,
-        reducer_capacity=q,
-        strict_capacity=True,
+    if execution is None:
+        execution = planned.execution if method == "planned" else ExecutionConfig()
+    result = planner.run(
+        planned,
+        (u.blocks, v.blocks),
+        partial(_outer_product_reduce, owners=owners),
+        config=execution,
     )
-    records = [("u", b) for b in u.blocks] + [("v", b) for b in v.blocks]
-    result = job.run(records)
     return OuterProductRun(
         entries=tuple(result.outputs),
         schema=schema,
         metrics=result.metrics,
         shape=(u.dimension, v.dimension),
+        engine=result.engine,
         plan=planned,
     )

@@ -1,4 +1,4 @@
-"""Three-way similarity on the simulated cluster (multiway extension).
+"""Three-way similarity on the MapReduce execution engine (multiway extension).
 
 Exercises the r > 2 generalization end to end: for every *triple* of
 documents, compute the Jaccard similarity of the triple's token sets
@@ -14,7 +14,7 @@ from itertools import combinations
 
 from repro import planner
 from repro.core.multiway import MultiwaySchema
-from repro.mapreduce.job import MapReduceJob
+from repro.engine.engine import ExecutionEngine
 from repro.mapreduce.metrics import JobMetrics
 from repro.planner import JobSpec, Plan
 from repro.workloads.documents import Document
@@ -73,9 +73,10 @@ def run_threeway_similarity(
 
     Each reducer evaluates only the triples whose *canonical* reducer it is
     (the smallest reducer index containing all three documents), so every
-    triple is emitted exactly once despite replication.  Multiway schemas
-    run on the reference simulator (the engine's schema router executes
-    pairwise schemas); the planner still records the plan.
+    triple is emitted exactly once despite replication.  The engine's
+    schema router executes only pairwise schemas, so the job is built
+    from ``plan.schema()`` here and runs on the serial
+    :class:`~repro.engine.engine.ExecutionEngine`.
     """
     planned = planner.plan(threeway_spec(documents, q))
     schema = planned.schema()
@@ -116,13 +117,13 @@ def run_threeway_similarity(
                             similarity,
                         )
 
-    job = MapReduceJob(
+    engine = ExecutionEngine(
         map_fn=map_fn,
         reduce_fn=reduce_fn,
         reducer_capacity=q,
         strict_capacity=True,
     )
-    result = job.run(documents)
+    result = engine.run(documents)
     return ThreeWayRun(
         triples=tuple(result.outputs),
         schema=schema,

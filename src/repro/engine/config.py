@@ -129,8 +129,9 @@ def resolve_execution(
     """Reconcile an app's ``config=`` with its legacy ``backend=`` kwargs.
 
     Returns ``None`` when neither is given — the applications read that as
-    "run on the reference simulator".  An explicit *config* wins over the
-    legacy keywords.
+    "no execution knobs": the plan's resolved config under
+    ``method="planned"``, the serial ``ExecutionConfig()`` otherwise.  An
+    explicit *config* wins over the legacy keywords.
     """
     if config is not None:
         return config

@@ -10,7 +10,8 @@ both live in the plan.
 
 Multiway plans describe schemas the engine's schema router does not
 execute (reducers are r-way input sets, not pairwise memberships);
-applications run those on the reference simulator and say so here.
+applications build the job from ``plan.schema()`` and run it on
+:class:`~repro.engine.engine.ExecutionEngine` directly.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ def run(
     """
     if plan.spec.kind == "multiway":
         raise InvalidInstanceError(
-            "multiway plans run on the reference simulator (the engine's "
-            "schema router executes pairwise A2A/X2Y schemas); build the "
-            "job from plan.schema() instead"
+            "multiway plans are not routed by the engine's schema router "
+            "(it executes pairwise A2A/X2Y schemas); build the job from "
+            "plan.schema() and run it on ExecutionEngine instead"
         )
     return execute_schema(
         plan.schema(),

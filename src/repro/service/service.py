@@ -95,7 +95,7 @@ def spec_records(
             [f"y-{j}" for j in range(len(spec.y_sizes))],
         )
     raise InvalidInstanceError(
-        "multiway specs run on the reference simulator, not the engine; "
+        "multiway specs are not routed by the engine's schema router; "
         "submit them as plan-only jobs"
     )
 

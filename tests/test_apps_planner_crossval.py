@@ -2,13 +2,14 @@
 
 Each application used to call ``solve_a2a``/``solve_x2y``/
 ``multiway_bin_combining`` directly and wire its own MapReduce job; it
-now builds a :class:`~repro.planner.spec.JobSpec`, plans it, and (on the
-engine path) funnels through :func:`repro.planner.run`.  These tests
-reimplement the pre-refactor direct-call paths as oracles and assert the
-refactored apps produce identical outputs — on the default simulator
-path, on the engine path, and under full cost-based planning
-(``method="planned"``, where a *different but valid* schema must still
-yield the same application output).
+now builds a :class:`~repro.planner.spec.JobSpec`, plans it, and runs
+on the engine through :func:`repro.planner.run`.  These tests
+reimplement the pre-refactor direct-call paths as simulator
+(:class:`~repro.mapreduce.job.MapReduceJob`) oracles and assert the
+refactored apps produce identical outputs — on the default path (the
+serial engine), with an explicit engine config, and under full
+cost-based planning (``method="planned"``, where a *different but
+valid* schema must still yield the same application output).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Integration tests: similarity join on the simulator."""
+"""Integration tests: similarity join on the (default serial) engine."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Integration tests: skew join on the simulator."""
+"""Integration tests: skew join on the (default serial) engine."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Integration tests: distributed outer product on the simulator."""
+"""Integration tests: distributed outer product on the (default serial) engine."""
 
 from __future__ import annotations
 

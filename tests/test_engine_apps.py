@@ -4,12 +4,47 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.similarity_join import run_similarity_join
+from repro.apps.common_friends import run_common_friends
+from repro.apps.similarity_join import run_broadcast_baseline, run_similarity_join
 from repro.apps.skew_join import hash_join, naive_join, schema_skew_join
+from repro.apps.tensor_product import distributed_outer_product
 from repro.workloads.documents import all_pairs_above, generate_documents
 from repro.workloads.relations import generate_join_workload
+from repro.workloads.social import generate_users
+from repro.workloads.vectors import generate_block_vector
 
 BACKENDS = ["serial", "threads", "processes"]
+
+#: Every app called with no execution knobs (no ``backend=``/``config=``).
+DEFAULT_CALLS = {
+    "run_similarity_join": lambda: run_similarity_join(
+        generate_documents(12, 40, seed=3), 40, 0.2
+    ),
+    "run_broadcast_baseline": lambda: run_broadcast_baseline(
+        generate_documents(12, 40, seed=3), 40, 0.2
+    ),
+    "schema_skew_join": lambda: schema_skew_join(
+        *generate_join_workload(80, 80, 5, 1.3, seed=4), 40
+    ),
+    "hash_join": lambda: hash_join(
+        *generate_join_workload(80, 80, 5, 1.3, seed=4), 40
+    ),
+    "run_common_friends": lambda: run_common_friends(
+        generate_users(12, 40, seed=5), 40
+    ),
+    "distributed_outer_product": lambda: distributed_outer_product(
+        generate_block_vector("u", 4, 20, seed=6),
+        generate_block_vector("v", 3, 20, seed=7),
+        20,
+    ),
+}
+
+
+@pytest.mark.parametrize("app", sorted(DEFAULT_CALLS))
+def test_default_call_runs_on_serial_engine(app):
+    run = DEFAULT_CALLS[app]()
+    assert run.engine is not None
+    assert run.engine.backend == "serial"
 
 
 class TestSimilarityJoinBackends:

@@ -7,9 +7,11 @@ outputs *and* metrics before the parallel backends mean anything.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.apps.similarity_join import run_similarity_join
+from repro.apps.similarity_join import _similarity_reduce, run_similarity_join
 from repro.apps.skew_join import naive_join, schema_skew_join
 from repro.core.selector import solve_a2a, solve_x2y
 from repro.engine.crossval import (
@@ -17,6 +19,7 @@ from repro.engine.crossval import (
     compare_results,
     validate_against_simulator,
 )
+from repro.engine.routing import a2a_meeting_table
 from repro.workloads.documents import generate_documents
 from repro.workloads.relations import generate_join_workload
 
@@ -73,26 +76,38 @@ class TestSchemaCrossValidation:
 class TestApplicationCrossValidation:
     """Outputs *and* JobMetrics must match the simulator on every backend,
     not just serial — partitioning may batch keys differently, but nothing
-    observable may change."""
+    observable may change.  The similarity join is diffed against the
+    simulator through the schema router; the skew join (a composite
+    light/heavy job no single schema routes) against its default serial
+    run, which itself must equal the centrally-computed ground truth."""
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_similarity_join_engine_is_byte_identical(self, backend):
         documents = generate_documents(24, 50, seed=11)
-        simulator = run_similarity_join(documents, 50, 0.2)
-        engine = run_similarity_join(documents, 50, 0.2, backend=backend)
-        assert engine.pairs == simulator.pairs
-        assert engine.metrics == simulator.metrics
-        assert engine.schema.reducers == simulator.schema.reducers
-        assert engine.engine is not None and simulator.engine is None
-        assert engine.engine.backend == backend
+        run = run_similarity_join(documents, 50, 0.2, backend=backend)
+        reduce_fn = partial(
+            _similarity_reduce,
+            owners=a2a_meeting_table(run.schema),
+            threshold=0.2,
+        )
+        engine_result, _, report = validate_against_simulator(
+            run.schema, documents, reduce_fn, backend=backend
+        )
+        assert report.ok, report.summary()
+        assert run.pairs == tuple(engine_result.outputs)
+        assert run.metrics == engine_result.metrics
+        assert run.engine is not None and run.engine.backend == backend
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_skew_join_engine_is_byte_identical(self, backend):
         x, y = generate_join_workload(240, 240, 8, 1.3, seed=5)
-        simulator = schema_skew_join(x, y, 70)
+        serial = schema_skew_join(x, y, 70)
         engine = schema_skew_join(x, y, 70, backend=backend)
-        assert engine.triples == simulator.triples
-        assert engine.metrics == simulator.metrics
-        assert engine.heavy_keys == simulator.heavy_keys
-        # Both match the centrally-computed ground truth.
-        assert engine.triple_set() == naive_join(x, y)
+        assert serial.engine is not None and serial.engine.backend == "serial"
+        truth = naive_join(x, y)
+        assert len(serial.triples) == len(serial.triple_set()) == len(truth)
+        assert serial.triple_set() == truth
+        assert engine.triples == serial.triples
+        assert engine.metrics == serial.metrics
+        assert engine.heavy_keys == serial.heavy_keys
+        assert engine.engine is not None and engine.engine.backend == backend
